@@ -154,20 +154,73 @@ std::vector<Engine::RoutedCluster> Engine::route_clusters(
   return routed;
 }
 
-void Engine::submit_clusters(std::vector<RoutedCluster> ready) {
-  // Ready clusters become pool tasks at their step as the submission
-  // priority, so a backlogged pool still hands the earliest step to the
-  // next free worker (§3.5). The caller already popped and routed them
-  // under the topology lock, so this needs no engine lock: inflight
-  // accounting is atomic, and the submitting task's own inflight count
-  // keeps run() from observing a premature zero.
-  for (RoutedCluster& rc : ready) {
-    const Step step = rc.cluster.step;
-    TaskPool* pool = shard_pools_[static_cast<std::size_t>(rc.strip)];
-    inflight_clusters_.fetch_add(1, std::memory_order_acq_rel);
-    pool->submit(step, [this, cluster = std::move(rc.cluster)]() mutable {
-      execute_cluster(std::move(cluster));
-    });
+void Engine::post(RoutedCluster rc) {
+  // Released clusters become pool tasks at their step as the priority, so
+  // a backlogged pool still hands the earliest step to the next free
+  // worker (§3.5). The caller already counted the task in flight.
+  TaskPool* pool = shard_pools_[static_cast<std::size_t>(rc.strip)];
+  const Step step = rc.cluster.step;
+  pool->post(step, [this, rc = std::move(rc)]() mutable {
+    execute_cluster(std::move(rc));
+  });
+}
+
+void Engine::dispatch(std::vector<RoutedCluster> released, TaskPool* home,
+                      std::optional<RoutedCluster>* next) {
+  if (released.empty() || failed_.load(std::memory_order_acquire)) return;
+  inflight_clusters_.fetch_add(static_cast<std::int64_t>(released.size()),
+                               std::memory_order_acq_rel);
+  // Inline continuation: keep the earliest-step cluster homed on the
+  // committing worker's own pool and run it next, so a µs-scale chain of
+  // clusters never pays a cross-thread hand-off — unless earlier-step
+  // work is already queued there, which must run first (§3.5).
+  // `released` is ordered by (step, first member), so the first home
+  // cluster is the earliest.
+  auto keep = released.end();
+  if (next != nullptr) {
+    keep = std::find_if(released.begin(), released.end(),
+                        [&](const RoutedCluster& rc) {
+                          return shard_pools_[static_cast<std::size_t>(
+                                     rc.strip)] == home;
+                        });
+    if (keep != released.end() &&
+        keep->cluster.step > home->front_priority_hint()) {
+      keep = released.end();
+    }
+  }
+  for (auto it = released.begin(); it != released.end(); ++it) {
+    if (it == keep) {
+      *next = std::move(*it);
+    } else {
+      post(std::move(*it));
+    }
+  }
+}
+
+void Engine::record_error(std::exception_ptr error) {
+  // The controller is not woken here: it waits for the in-flight count to
+  // drain anyway, and the decrement that drains it wakes it.
+  common::MutexLock lock(control_mutex_);
+  if (error_ == nullptr) {
+    error_ = std::move(error);
+    failed_.store(true, std::memory_order_release);
+  }
+}
+
+void Engine::retire(std::int64_t n) {
+  std::int64_t cur = inflight_clusters_.load(std::memory_order_acquire);
+  while (cur > n) {
+    if (inflight_clusters_.compare_exchange_weak(
+            cur, cur - n, std::memory_order_acq_rel,
+            std::memory_order_acquire)) {
+      return;
+    }
+  }
+  // Possibly the last units: decrement and notify under the lock, so a
+  // waiter in ~Engine cannot destroy done_cv_ before notify returns.
+  common::MutexLock lock(control_mutex_);
+  if (inflight_clusters_.fetch_sub(n, std::memory_order_acq_rel) == n) {
+    done_cv_.notify_all();
   }
 }
 
@@ -207,154 +260,217 @@ void Engine::maybe_reshard() {
   scoreboard_->repartition(scoreboard_->partition().rebalanced(weights));
 }
 
-void Engine::execute_cluster(core::AgentCluster cluster) {
+bool Engine::step_and_write(const core::AgentCluster& cluster,
+                            std::vector<std::pair<AgentId, Pos>>* moves) {
   // Heavy lifting off the controller's critical path (§3.6): agent
-  // processing (LLM calls) runs without any engine lock, and the world
-  // commit takes only the world's own mutex — graph maintenance in other
-  // workers proceeds concurrently.
-  std::vector<world::StepIntent> intents;
-  std::exception_ptr error;
-  try {
-    intents = step_fn_(cluster, *world_);
-  } catch (...) {
-    error = std::current_exception();
+  // processing (LLM calls) runs without any engine lock.
+  const std::vector<world::StepIntent> intents = step_fn_(cluster, *world_);
+  if (failed_.load(std::memory_order_acquire)) return false;
+  // resolve_conflict_and_commit applies developer conflict rules and
+  // commits winners to the world; the unique world lock excludes
+  // concurrent observation readers in other workers. The dependency rules
+  // already guarantee in-flight clusters touch disjoint perception
+  // regions, so world commits from different clusters can interleave
+  // freely.
+  common::WriterLock world_lock(world_->mutex());
+  const auto outcomes =
+      world_->resolve_conflict_and_commit(cluster.step, intents);
+  world_lock.unlock();
+  moves->reserve(outcomes.size());
+  for (const auto& out : outcomes) {
+    moves->emplace_back(out.agent, out.tile.center());
   }
+  if (config_.kv_instrumentation) {
+    // Transactional mirror of the committed agent rows, as the paper
+    // keeps all simulation state in the in-memory database. The store's
+    // shard locks make this safe outside the commit locks. Sharded runs
+    // log per strip so the instrumentation stream shows the shard-local
+    // traffic split.
+    kv::Transaction txn = store_.transaction();
+    for (const auto& out : outcomes) {
+      const std::string key = strformat("agent:%d", out.agent);
+      txn.hset(key, "step", std::to_string(cluster.step + 1));
+      txn.hset(key, "x", std::to_string(out.tile.x));
+      txn.hset(key, "y", std::to_string(out.tile.y));
+    }
+    const std::string log_key =
+        shards_ > 1 && !moves->empty()
+            ? strformat("log:commits:%d",
+                        scoreboard_->shard_of_pos(moves->front().second))
+            : std::string("log:commits");
+    txn.rpush(log_key, strformat("step=%d size=%zu", cluster.step,
+                                 cluster.members.size()));
+    txn.incr_by("stats:agent_steps",
+                static_cast<std::int64_t>(cluster.members.size()));
+    const auto result = txn.exec();
+    common::MutexLock slock(stats_mutex_);
+    ++stats_.kv_transactions;
+    if (result == kv::TxnResult::kConflict) ++stats_.kv_conflicts;
+  }
+  return true;
+}
 
-  if (error == nullptr && !failed_.load(std::memory_order_acquire)) {
+bool Engine::commit_interior(
+    const core::AgentCluster& cluster,
+    const std::vector<std::pair<AgentId, Pos>>& moves,
+    std::chrono::steady_clock::time_point wait_begin,
+    std::vector<RoutedCluster>* released) {
+  // Near an unapplied reshard boundary B, commits that could raise
+  // min_step() past B (cluster.step + 1 >= B) are forced cross-shard: the
+  // raising commit is then applied under the exclusive topology hold,
+  // which is exactly where the rebalance may run. The atomic only ever
+  // advances, so a stale read is merely conservative (extra cross
+  // commits, never a missed trigger).
+  if (cluster.step + 1 >= next_reshard_step_.load(std::memory_order_acquire)) {
+    return false;
+  }
+  std::uint64_t wait_us = 0;
+  std::uint64_t hold_us = 0;
+  std::int32_t strip = -1;
+  {
+    // Prove the commit is confined to one strip, then take that strip's
+    // lock under a shared topology hold. The floor is sampled before
+    // classification so classification and commit bound their probe
+    // radii identically; it can only lag the true minimum, which merely
+    // widens the (exactly filtered) probes.
+    common::ReaderLock tlock(topology_mutex_);
+    const Step floor = min_floor_.load(std::memory_order_acquire);
+    strip = scoreboard_->local_commit_shard(moves, floor);
+    if (strip < 0) return false;
+    common::MutexLock slock(*shard_mutexes_[static_cast<std::size_t>(strip)]);
+    const auto acquired = std::chrono::steady_clock::now();
+    wait_us = elapsed_us(wait_begin, acquired);
+    if (!failed_.load(std::memory_order_acquire)) {
+      scoreboard_->commit(moves, floor);
+      *released =
+          route_clusters(scoreboard_->pop_ready_clusters_in_shard(strip));
+    }
+    hold_us = elapsed_us(acquired, std::chrono::steady_clock::now());
+  }
+  common::MutexLock slock(stats_mutex_);
+  ++stats_.clusters_executed;
+  stats_.agent_steps += cluster.members.size();
+  EngineStats& row = shard_rows_[static_cast<std::size_t>(strip)];
+  ++row.commits;
+  row.commit_wait_us += wait_us;
+  row.commit_hold_us += hold_us;
+  row.max_commit_wait_us = std::max(row.max_commit_wait_us, wait_us);
+  return true;
+}
+
+void Engine::combine_cross_commits() {
+  // The combiner's own commit is the first entry of its first batch; its
+  // unit is retired by the caller once this loop has let go of
+  // cross_mutex_, so the engine stays alive for the whole loop.
+  std::int64_t own = 1;
+  std::vector<PendingCommit> batch;
+  for (;;) {
+    {
+      common::MutexLock lock(cross_mutex_);
+      if (cross_queue_.empty()) {
+        combining_ = false;
+        return;
+      }
+      batch.swap(cross_queue_);
+    }
+    // Cross-shard path: exclusive over the whole board, once per batch
+    // instead of once per commit. The exclusive hold is the only place
+    // the global minimum may be recomputed and published — and therefore
+    // the only place a reshard boundary can be observed crossed.
+    std::vector<RoutedCluster> released;
+    auto acquired = std::chrono::steady_clock::now();
+    std::uint64_t hold_us = 0;
     try {
-      // resolve_conflict_and_commit applies developer conflict rules and
-      // commits winners to the world; the unique world lock excludes
-      // concurrent observation readers in other workers. The dependency
-      // rules already guarantee in-flight clusters touch disjoint
-      // perception regions, so world commits from different clusters can
-      // interleave freely.
-      std::vector<std::pair<AgentId, Pos>> moves;
-      {
-        common::WriterLock world_lock(world_->mutex());
-        const auto outcomes =
-            world_->resolve_conflict_and_commit(cluster.step, intents);
-        world_lock.unlock();
-        moves.reserve(outcomes.size());
-        for (const auto& out : outcomes) {
-          moves.emplace_back(out.agent, out.tile.center());
-        }
-        if (config_.kv_instrumentation) {
-          // Transactional mirror of the committed agent rows, as the
-          // paper keeps all simulation state in the in-memory database.
-          // The store's shard locks make this safe outside the commit
-          // locks. Sharded runs log per strip so the instrumentation
-          // stream shows the shard-local traffic split.
-          kv::Transaction txn = store_.transaction();
-          for (const auto& out : outcomes) {
-            const std::string key = strformat("agent:%d", out.agent);
-            txn.hset(key, "step", std::to_string(cluster.step + 1));
-            txn.hset(key, "x", std::to_string(out.tile.x));
-            txn.hset(key, "y", std::to_string(out.tile.y));
-          }
-          const std::string log_key =
-              shards_ > 1 && !moves.empty()
-                  ? strformat("log:commits:%d",
-                              scoreboard_->shard_of_pos(moves.front().second))
-                  : std::string("log:commits");
-          txn.rpush(log_key, strformat("step=%d size=%zu", cluster.step,
-                                       cluster.members.size()));
-          txn.incr_by("stats:agent_steps",
-                      static_cast<std::int64_t>(cluster.members.size()));
-          const auto result = txn.exec();
-          common::MutexLock slock(stats_mutex_);
-          ++stats_.kv_transactions;
-          if (result == kv::TxnResult::kConflict) ++stats_.kv_conflicts;
-        }
-      }
-
-      // Graph maintenance — the boundary-lag commit protocol. Timed so
-      // EngineStats can show whether commits serialize the pipeline
-      // (wait) and what the maintenance itself costs (hold).
-      const auto wait_begin = std::chrono::steady_clock::now();
-      std::uint64_t wait_us = 0;
-      std::uint64_t hold_us = 0;
-      std::int32_t strip = -1;
-      std::vector<RoutedCluster> released;
-      // Near an unapplied reshard boundary B, commits that could raise
-      // min_step() past B (cluster.step + 1 >= B) are forced cross-shard:
-      // the raising commit then holds the topology lock exclusively, which
-      // is exactly where the rebalance may run. The atomic only ever
-      // advances, so a stale read is merely conservative (extra cross
-      // commits, never a missed trigger).
-      const Step reshard_boundary =
-          next_reshard_step_.load(std::memory_order_acquire);
-      {
-        // Interior path: prove the commit is confined to one strip, then
-        // take that strip's lock under a shared topology hold. The floor
-        // is sampled before classification so classification and commit
-        // bound their probe radii identically; it can only lag the true
-        // minimum, which merely widens the (exactly filtered) probes.
-        common::ReaderLock tlock(topology_mutex_);
-        const Step floor = min_floor_.load(std::memory_order_acquire);
-        strip = cluster.step + 1 >= reshard_boundary
-                    ? -1
-                    : scoreboard_->local_commit_shard(moves, floor);
-        if (strip >= 0) {
-          common::MutexLock slock(
-              *shard_mutexes_[static_cast<std::size_t>(strip)]);
-          const auto acquired = std::chrono::steady_clock::now();
-          wait_us = elapsed_us(wait_begin, acquired);
-          if (!failed_.load(std::memory_order_acquire)) {
-            scoreboard_->commit(moves, floor);
-            released =
-                route_clusters(scoreboard_->pop_ready_clusters_in_shard(strip));
-          }
-          hold_us = elapsed_us(acquired, std::chrono::steady_clock::now());
-        }
-      }
-      if (strip < 0) {
-        // Cross-shard path: exclusive over the whole board (identical to
-        // the old global commit lock; with shards=1 every commit lands
-        // here). The exclusive hold is the only place the global minimum
-        // may be recomputed and published — and therefore the only place
-        // a reshard boundary can be observed crossed and acted on.
-        common::WriterLock tlock(topology_mutex_);
-        const auto acquired = std::chrono::steady_clock::now();
-        wait_us = elapsed_us(wait_begin, acquired);
-        if (!failed_.load(std::memory_order_acquire)) {
-          scoreboard_->commit(moves);
-          min_floor_.store(scoreboard_->min_step(),
-                           std::memory_order_release);
-          maybe_reshard();
-          released = route_clusters(scoreboard_->pop_ready_clusters());
-        }
-        hold_us = elapsed_us(acquired, std::chrono::steady_clock::now());
-      }
+      common::WriterLock tlock(topology_mutex_);
+      acquired = std::chrono::steady_clock::now();
       if (!failed_.load(std::memory_order_acquire)) {
-        submit_clusters(std::move(released));
+        for (const PendingCommit& pc : batch) scoreboard_->commit(pc.moves);
+        min_floor_.store(scoreboard_->min_step(), std::memory_order_release);
+        maybe_reshard();
+        released = route_clusters(scoreboard_->pop_ready_clusters());
       }
-      {
-        common::MutexLock slock(stats_mutex_);
+      hold_us = elapsed_us(acquired, std::chrono::steady_clock::now());
+    } catch (...) {
+      record_error(std::current_exception());
+    }
+    {
+      // A combined commit waited from its enqueue until this batch got
+      // the lock; the batch's hold is charged once.
+      common::MutexLock slock(stats_mutex_);
+      EngineStats& row = shard_rows_[static_cast<std::size_t>(shards_)];
+      for (const PendingCommit& pc : batch) {
+        const std::uint64_t wait_us = elapsed_us(pc.enqueued, acquired);
         ++stats_.clusters_executed;
-        stats_.agent_steps += cluster.members.size();
-        EngineStats& row = shard_rows_[static_cast<std::size_t>(
-            strip >= 0 ? strip : shards_)];
+        stats_.agent_steps += pc.members;
         ++row.commits;
         row.commit_wait_us += wait_us;
-        row.commit_hold_us += hold_us;
         row.max_commit_wait_us = std::max(row.max_commit_wait_us, wait_us);
       }
-    } catch (...) {
-      error = std::current_exception();
+      row.commit_hold_us += hold_us;
     }
+    // The combiner keeps no continuation: it is the one thread every
+    // cross commit funnels through, so a cluster it kept would run only
+    // after it stopped combining, and its own chain would outrun the
+    // posted work (the step spread at commit rose ~5x on paper_day,
+    // widening every blocking-radius probe).
+    dispatch(std::move(released));
+    // Every other worker's commit in the batch is now applied. The
+    // combiner still holds its own unit, so none of these is the last.
+    if (static_cast<std::int64_t>(batch.size()) > own) {
+      retire(static_cast<std::int64_t>(batch.size()) - own);
+    }
+    own = 0;
+    batch.clear();
   }
-  {
-    common::MutexLock lock(control_mutex_);
-    if (error != nullptr && error_ == nullptr) {
-      error_ = error;
-      failed_.store(true, std::memory_order_release);
+}
+
+void Engine::execute_cluster(RoutedCluster first) {
+  TaskPool* const home = shard_pools_[static_cast<std::size_t>(first.strip)];
+  std::optional<RoutedCluster> next(std::move(first));
+  while (next.has_value()) {
+    const core::AgentCluster cluster = std::move(next->cluster);
+    next.reset();
+    std::vector<std::pair<AgentId, Pos>> moves;
+    std::vector<RoutedCluster> released;
+    auto wait_begin = std::chrono::steady_clock::now();
+    bool interior = false;
+    try {
+      if (!step_and_write(cluster, &moves)) {
+        retire(1);
+        return;
+      }
+      // Graph maintenance — the boundary-lag commit protocol. Timed so
+      // EngineStats can show whether commits serialize the pipeline
+      // (wait) and what the maintenance itself costs (hold). With one
+      // strip every commit is cross-shard, so classification is skipped.
+      wait_begin = std::chrono::steady_clock::now();
+      interior = shards_ > 1 &&
+                 commit_interior(cluster, moves, wait_begin, &released);
+    } catch (...) {
+      record_error(std::current_exception());
+      retire(1);
+      return;
     }
-    inflight_clusters_.fetch_sub(1, std::memory_order_acq_rel);
-    // The commit that finishes the last agent (or records the first
-    // error) is what unblocks run(). Notify under the lock: a waiter in
-    // ~Engine may destroy the condition variable the instant its
-    // predicate holds.
-    done_cv_.notify_all();
+    if (interior) {
+      dispatch(std::move(released), home, &next);
+      retire(1);
+      continue;
+    }
+    // Cross-shard path: queue the commit for the combiner. If one is
+    // active it applies (and retires) this commit, and this worker goes
+    // straight back to its pool instead of blocking on the lock.
+    bool combine = false;
+    {
+      common::MutexLock lock(cross_mutex_);
+      cross_queue_.push_back(PendingCommit{cluster.step,
+                                           cluster.members.size(),
+                                           std::move(moves), wait_begin});
+      combine = !combining_;
+      combining_ = true;
+    }
+    if (!combine) return;
+    combine_cross_commits();
+    retire(1);
   }
 }
 
@@ -364,17 +480,20 @@ EngineStats Engine::run() {
     std::vector<RoutedCluster> ready =
         route_clusters(scoreboard_->pop_ready_clusters());
     tlock.unlock();
-    submit_clusters(std::move(ready));
+    inflight_clusters_.fetch_add(static_cast<std::int64_t>(ready.size()),
+                                 std::memory_order_acq_rel);
+    for (RoutedCluster& rc : ready) post(std::move(rc));
   }
   {
-    // Controller: wait until every agent has reached the target (or a
-    // task failed) and all in-flight cluster tasks have drained.
+    // Controller: wait until every in-flight cluster has drained — then
+    // either every agent reached the target or a task failed.
     common::MutexLock lock(control_mutex_);
-    while (!((scoreboard_->all_done() || error_ != nullptr) &&
-             inflight_clusters_.load(std::memory_order_acquire) == 0)) {
+    while (inflight_clusters_.load(std::memory_order_acquire) != 0) {
       done_cv_.wait(control_mutex_);
     }
     if (error_ != nullptr) std::rethrow_exception(error_);
+    AIM_CHECK_MSG(scoreboard_->all_done(),
+                  "engine drained before every agent reached the target");
   }
   common::MutexLock slock(stats_mutex_);
   EngineStats out = stats_;

@@ -2,15 +2,15 @@
 //
 // Architecture mirrors §3.1/§3.6: a controller on a light critical path
 // exchanges work with persistent worker pools (runtime::TaskPool); every
-// ready cluster becomes one pool task, submitted at its step as the
+// ready cluster becomes one pool task, posted at its step as the
 // priority so the earliest-step cluster always runs first (§3.5). Workers
 // run every agent in a cluster, call the LLM through the blocking client
 // shim, commit writes to the world and the dependency scoreboard, and
-// submit whatever clusters the commit released — so dispatch is a queue
-// push, never a thread spawn, and nothing heavier than a condition
-// variable sits on the controller's critical path. All shared simulation
+// dispatch whatever clusters the commit released — so dispatch is a queue
+// push, never a thread spawn, and the controller only sleeps until the
+// in-flight count drains. With kv_instrumentation, shared simulation
 // state is additionally mirrored into the in-memory kv store (the paper
-// keeps it in Redis) — agent rows are updated transactionally at each
+// keeps it in Redis): agent rows are updated transactionally at each
 // commit and an instrumentation log records every cluster dispatch.
 //
 // Locking discipline (boundary-lag commit protocol): there is no single
@@ -24,21 +24,34 @@
 //     (Scoreboard::local_commit_shard); the worker then holds
 //     topology_mutex_ SHARED plus shard_mutexes_[s] and commits, popping
 //     released clusters from strip s only. Interior commits in different
-//     strips run fully concurrently — this is the hot path that removes
-//     the global commit lock.
+//     strips run fully concurrently.
 //   cross-shard commit — anything near a strip border (or with shards=1,
-//     everything) holds topology_mutex_ EXCLUSIVE, which excludes every
-//     interior commit: exactly the old global-commit-lock behavior. It
-//     also refreshes min_floor_, the monotonic lower bound on min_step()
-//     that interior commits use to bound their probe radii without
-//     reading other strips' live-step tables.
+//     everything, unclassified) is appended to cross_queue_ under
+//     cross_mutex_. The first committer to find no combiner active
+//     becomes the combiner: it swaps out the whole queue, applies the
+//     batch under ONE exclusive topology_mutex_ hold (which excludes
+//     every interior commit, as the old global commit lock did),
+//     refreshes min_floor_ — the monotonic lower bound on min_step()
+//     that interior commits use to bound their probe radii — runs any
+//     due reshard, pops the released clusters once, and repeats until
+//     the queue is empty. Every other committer returns to its pool
+//     instead of sleeping on the lock.
 //
-// Lock order: engine.topology -> engine.shard -> task_pool ->
-// engine.stats -> engine.control (see docs/ARCHITECTURE.md, "Sharded
-// world", for the full inventory). The scoreboard object itself carries
-// no capability annotation: its guard is the protocol above, which Clang
-// TSA cannot express (shared-mode writers striped by a runtime index);
-// the runtime lock-order validator and the TSan suite check it instead.
+// Dispatch: released clusters are posted fire-and-forget
+// (TaskPool::post); after an interior commit the worker instead keeps the
+// earliest-step released cluster homed on its own pool and runs it inline
+// next, unless earlier work is queued there. A cluster counts in
+// inflight_clusters_ from release until its commit is applied; only the
+// decrement that may reach zero takes control_mutex_ and wakes the
+// controller.
+//
+// Lock order: engine.topology -> engine.shard -> engine.stats;
+// engine.cross, task_pool and engine.control are taken alone (see
+// docs/ARCHITECTURE.md, "Sharded world", for the full inventory). The
+// scoreboard object itself carries no capability annotation: its guard
+// is the protocol above, which Clang TSA cannot express (shared-mode
+// writers striped by a runtime index); the runtime lock-order validator
+// and the TSan suite check it instead.
 //
 // The paper uses processes to dodge the Python GIL; C++ threads carry no
 // such penalty, so workers are pool threads here. The scheduling policy
@@ -47,9 +60,12 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <exception>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/mutex.h"
@@ -73,8 +89,11 @@ struct EngineConfig {
   /// historical default). Graph worlds pass a core::GraphMetric here so
   /// the scoreboard measures hops; must outlive the engine.
   std::shared_ptr<const core::Metric> metric;
-  /// Mirror agent state and an instrumentation stream into the kv store.
-  bool kv_instrumentation = true;
+  /// Mirror agent state and an instrumentation stream into the kv store
+  /// (the paper's Redis copy of simulation state). Off by default: nothing
+  /// in the engine reads the mirror back, and it costs a kv transaction
+  /// per commit. Tests that inspect store() turn it on.
+  bool kv_instrumentation = false;
   /// Run cluster tasks on an externally owned pool instead of a private
   /// one (the pool must outlive the engine and have no queue bound —
   /// workers dispatch the clusters their own commits release, so
@@ -123,12 +142,16 @@ struct EngineStats {
   std::uint64_t kv_transactions = 0;
   std::uint64_t kv_conflicts = 0;
   /// Commit-lock contention: total scoreboard commits, total microseconds
-  /// workers spent waiting to acquire the commit locks, total
-  /// microseconds spent holding them (graph maintenance + dispatch), and
-  /// the worst single wait. wait >> hold means commits are serializing
-  /// the pipeline; both near zero means the LLM calls dominate, as
-  /// designed. With shards > 1 these are rollups of the per-strip rows
-  /// (sums, except max_commit_wait_us which is the max).
+  /// from each commit's start until its graph maintenance began, total
+  /// microseconds of graph maintenance (commit + pop, under the commit
+  /// locks), and the worst single wait. An interior commit waits for its
+  /// strip lock. A cross-shard commit is combined: its wait runs from
+  /// enqueue until the combiner's batch takes the topology lock, and the
+  /// hold is charged once per batch, not per commit. wait >> hold means
+  /// commits queue behind graph maintenance; both near zero means the
+  /// LLM calls dominate, as designed. These are rollups of the per-strip
+  /// rows plus the cross-shard row (sums, except max_commit_wait_us
+  /// which is the max).
   std::uint64_t commits = 0;
   std::uint64_t commit_wait_us = 0;
   std::uint64_t commit_hold_us = 0;
@@ -181,15 +204,51 @@ class Engine {
     std::int32_t strip = 0;
     core::AgentCluster cluster;
   };
+  /// A cross-shard commit waiting in cross_queue_ for the combiner.
+  struct PendingCommit {
+    Step step = 0;
+    std::size_t members = 0;
+    std::vector<std::pair<AgentId, Pos>> moves;
+    std::chrono::steady_clock::time_point enqueued;
+  };
 
-  void execute_cluster(core::AgentCluster cluster);
+  /// Pool task body: runs `first`, then keeps running the released
+  /// clusters it keeps inline (see dispatch()) until none is left.
+  void execute_cluster(RoutedCluster first);
+  /// StepFn plus the world write (and kv mirror) for one cluster. Returns
+  /// false, leaving `moves` empty, when the run has already failed.
+  bool step_and_write(const core::AgentCluster& cluster,
+                      std::vector<std::pair<AgentId, Pos>>* moves);
+  /// The interior (one-strip) commit path. Returns false, having done
+  /// nothing, when the commit must take the cross-shard path instead.
+  bool commit_interior(const core::AgentCluster& cluster,
+                       const std::vector<std::pair<AgentId, Pos>>& moves,
+                       std::chrono::steady_clock::time_point wait_begin,
+                       std::vector<RoutedCluster>* released);
+  /// Combiner loop: drain cross_queue_ a batch at a time, applying each
+  /// batch under one exclusive topology hold. Entered only by the worker
+  /// that set combining_; clears it (under cross_mutex_) on finding the
+  /// queue empty.
+  void combine_cross_commits();
+  /// Count `released` in flight and post each to its home strip's pool
+  /// at step priority; drops them all once the run has failed. With
+  /// `next`, the earliest-step cluster homed on `home` goes there instead
+  /// (inline continuation) unless earlier work is queued on `home`.
+  void dispatch(std::vector<RoutedCluster> released, TaskPool* home = nullptr,
+                std::optional<RoutedCluster>* next = nullptr);
+  void post(RoutedCluster rc);
   /// Resolve each cluster's home strip under the current partition.
   /// Caller must hold topology_mutex_ (shared suffices: routing only
   /// reads) — a guard TSA cannot express for either-mode holds.
   std::vector<RoutedCluster> route_clusters(
       std::vector<core::AgentCluster> ready);
-  /// Queue released clusters on their home strips' pools (step priority).
-  void submit_clusters(std::vector<RoutedCluster> ready);
+  /// Record the first task failure; later ones are dropped.
+  void record_error(std::exception_ptr error);
+  /// Retire `n` in-flight units. Only the decrement that may reach zero
+  /// takes control_mutex_ (and wakes the controller): a waiter in
+  /// ~Engine may destroy done_cv_ the instant it sees zero. The caller
+  /// must not touch the engine afterwards unless it still holds a unit.
+  void retire(std::int64_t n);
   /// Fire the next reshard boundary if min_step() has cleared it:
   /// re-quantile the partition against the contention deltas since the
   /// last rebalance and repartition the scoreboard in place. Caller must
@@ -230,10 +289,22 @@ class Engine {
   /// read only under topology-exclusive (maybe_reshard).
   std::size_t next_reshard_idx_ = 0;
 
+  /// Cross-shard commits queue here for the combiner. Taken alone —
+  /// never while holding topology_mutex_ or a shard mutex — and the
+  /// combining_ flag shares it with the queue, so a commit is either
+  /// seen by the active combiner or makes its pusher the next one.
+  common::Mutex cross_mutex_{"engine.cross"};
+  std::vector<PendingCommit> cross_queue_ GUARDED_BY(cross_mutex_);
+  bool combining_ GUARDED_BY(cross_mutex_) = false;
+
   /// Control plane: run()/~Engine() wait here for in-flight cluster
   /// tasks to drain. Never held while acquiring topology/shard locks.
   common::Mutex control_mutex_{"engine.control"};
   common::CondVar done_cv_;
+  /// Clusters released but not yet committed: queued on a pool, running,
+  /// kept for inline continuation, or waiting in cross_queue_. A
+  /// cluster's unit is added before the unit of the commit that released
+  /// it is retired, so zero means the run has drained.
   std::atomic<std::int64_t> inflight_clusters_{0};
   /// First task failure; stops dispatch.
   std::exception_ptr error_ GUARDED_BY(control_mutex_);

@@ -84,24 +84,44 @@ TaskPool::Handle TaskPool::submit(std::int64_t priority, Task fn) {
   AIM_CHECK(fn != nullptr);
   auto state = std::make_shared<Handle::State>();
   state->fn = std::move(fn);
-  {
-    common::MutexLock lock(mutex_);
-    AIM_CHECK_MSG(!shut_down_, "submit() on a shut-down TaskPool");
-    if (max_queued_ > 0 && t_current_pool != this) {
-      while (queued_ >= max_queued_ && !shut_down_) space_cv_.wait(mutex_);
-      AIM_CHECK_MSG(!shut_down_, "TaskPool shut down while submit() blocked");
-    }
-    ++queued_;
-    ++in_flight_;
-    if (in_flight_ > stats_.peak_in_flight) stats_.peak_in_flight = in_flight_;
-    // Push while still holding mutex_: a shutdown() racing this submit
-    // either sees the task already queued (and drains it) or wins the
-    // flag check above — a task can never land in a queue no worker will
-    // ever pop. The queue's internal lock nests inside mutex_ only here;
-    // workers release it before taking mutex_, so there is no inversion.
-    queue_.push(priority, state);
+  enqueue(priority, Item{nullptr, state});
+  return Handle(std::move(state));
+}
+
+void TaskPool::post(std::int64_t priority, Task fn) {
+  AIM_CHECK(fn != nullptr);
+  enqueue(priority, Item{std::move(fn), nullptr});
+}
+
+void TaskPool::enqueue(std::int64_t priority, Item item) {
+  // Counted in flight before the push, so a worker can never finish (and
+  // decrement) a task that was not yet counted.
+  const std::uint64_t now = in_flight_.fetch_add(1, std::memory_order_acq_rel) + 1;
+  std::uint64_t peak = peak_in_flight_.load(std::memory_order_relaxed);
+  while (now > peak && !peak_in_flight_.compare_exchange_weak(
+                           peak, now, std::memory_order_relaxed)) {
   }
-  return Handle(state);
+  bool accepted = false;
+  if (max_queued_ > 0) {
+    common::MutexLock lock(mutex_);
+    if (!shut_down_ && t_current_pool != this) {
+      while (queued_ >= max_queued_ && !shut_down_) space_cv_.wait(mutex_);
+    }
+    // Pushed under mutex_: shutdown() flips shut_down_ under it before
+    // closing the queue, so a push that passes this check is drained.
+    if (!shut_down_) {
+      ++queued_;
+      accepted = queue_.push(priority, std::move(item));
+    }
+  } else {
+    // The queue refuses pushes once shutdown() closed it, under its own
+    // lock: an accepted task always lands before the workers' final drain.
+    accepted = queue_.push(priority, std::move(item));
+  }
+  if (!accepted) {
+    release_in_flight();
+    AIM_CHECK_MSG(false, "submit() on a shut-down TaskPool");
+  }
 }
 
 void TaskPool::submit_and_wait(std::vector<Task> tasks,
@@ -132,7 +152,9 @@ void TaskPool::submit_and_wait(std::vector<Task> tasks,
 
 void TaskPool::wait_idle() const {
   common::MutexLock lock(mutex_);
-  while (in_flight_ != 0) idle_cv_.wait(mutex_);
+  while (in_flight_.load(std::memory_order_acquire) != 0) {
+    idle_cv_.wait(mutex_);
+  }
 }
 
 void TaskPool::shutdown() {
@@ -148,30 +170,47 @@ void TaskPool::shutdown() {
 }
 
 TaskPoolStats TaskPool::stats() const {
-  common::MutexLock lock(mutex_);
-  return stats_;
+  TaskPoolStats out;
+  out.tasks_executed = tasks_executed_.load(std::memory_order_acquire);
+  out.tasks_inlined = tasks_inlined_.load(std::memory_order_acquire);
+  out.peak_in_flight = peak_in_flight_.load(std::memory_order_acquire);
+  return out;
 }
 
 void TaskPool::worker_loop() {
   CurrentPoolScope scope(this);
-  while (std::optional<StatePtr> state = queue_.pop()) {
-    {
-      common::MutexLock lock(mutex_);
-      --queued_;
+  while (std::optional<Item> item = queue_.pop(kIdleSpin)) {
+    if (max_queued_ > 0) {
+      {
+        common::MutexLock lock(mutex_);
+        --queued_;
+      }
+      space_cv_.notify_one();
     }
-    space_cv_.notify_one();
-    try_execute(*state, /*inline_run=*/false);
+    if (item->state != nullptr) {
+      try_execute(item->state, /*inline_run=*/false);
+    } else {
+      // Destroy the closure before the task counts as finished, as
+      // try_execute does: wait_idle() then really means nothing is left.
+      Task fn = std::move(item->fn);
+      item.reset();
+      fn();
+      fn = nullptr;
+      finish_one(/*inline_run=*/false);
+    }
   }
 }
 
 bool TaskPool::try_execute(const StatePtr& state, bool inline_run) {
   if (state->claimed.exchange(true)) return false;
-  Task fn = std::move(state->fn);
   std::exception_ptr error;
-  try {
-    fn();
-  } catch (...) {
-    error = std::current_exception();
+  {
+    Task fn = std::move(state->fn);
+    try {
+      fn();
+    } catch (...) {
+      error = std::current_exception();
+    }
   }
   {
     common::MutexLock lock(state->m);
@@ -184,18 +223,18 @@ bool TaskPool::try_execute(const StatePtr& state, bool inline_run) {
 }
 
 void TaskPool::finish_one(bool inline_run) {
-  bool idle = false;
-  {
+  (inline_run ? tasks_inlined_ : tasks_executed_)
+      .fetch_add(1, std::memory_order_relaxed);
+  release_in_flight();
+}
+
+void TaskPool::release_in_flight() {
+  // The decrement that empties the pool notifies under mutex_, so a
+  // wait_idle() caller between its check and its wait cannot miss it.
+  if (in_flight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     common::MutexLock lock(mutex_);
-    --in_flight_;
-    if (inline_run) {
-      ++stats_.tasks_inlined;
-    } else {
-      ++stats_.tasks_executed;
-    }
-    idle = in_flight_ == 0;
+    idle_cv_.notify_all();
   }
-  if (idle) idle_cv_.notify_all();
 }
 
 }  // namespace aimetro::runtime

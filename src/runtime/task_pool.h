@@ -15,6 +15,12 @@
 // Design points:
 //   - submit() returns a waitable Handle; the task's exception (if any) is
 //     captured and rethrown from Handle::wait(), never lost to terminate().
+//   - post() is the fire-and-forget form for callers that track
+//     completion themselves (the engine): no Handle state is allocated,
+//     and a hand-off costs one queue push and one pop.
+//   - an idle worker spins briefly (kIdleSpin, at most one spinner per
+//     pool) before parking, so a task posted moments after the previous
+//     one finished is picked up without a futex sleep/wake round trip.
 //   - submit(priority, ...) orders the backlog by ascending priority (FIFO
 //     within equal priority), which is how the engine preserves the
 //     earliest-step-first dispatch rule (§3.5) on a shared pool.
@@ -31,6 +37,8 @@
 //     work accepted is work executed.
 #pragma once
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -108,6 +116,12 @@ class TaskPool {
   Handle submit(std::int64_t priority, Task fn);
   Handle submit(Task fn) { return submit(0, std::move(fn)); }
 
+  /// Fire-and-forget submit(): same ordering, queue bound and shutdown
+  /// rules, but no Handle — nothing can wait on the task or observe its
+  /// exception, so `fn` must not throw (an escaping exception terminates
+  /// the process).
+  void post(std::int64_t priority, Task fn);
+
   /// Submit every task in `tasks` at `priority`, then run-or-wait: the
   /// caller claims and executes tasks no worker has started, so the batch
   /// completes even when every worker is busy (including busy waiting on
@@ -123,6 +137,13 @@ class TaskPool {
   /// destructor. Submitting after shutdown is a checked error.
   void shutdown();
 
+  /// Lock-free, possibly stale hint: the smallest priority waiting in
+  /// the queue (numeric_limits max when it looks empty). Lets a worker
+  /// that could run a task inline see whether earlier work is queued.
+  std::int64_t front_priority_hint() const {
+    return queue_.front_priority_hint();
+  }
+
   std::int32_t workers() const {
     return static_cast<std::int32_t>(threads_.size());
   }
@@ -130,31 +151,50 @@ class TaskPool {
   /// submits while holding its own locks (e.g. runtime::Engine) refuse
   /// bounded pools up front instead of deadlocking against backpressure.
   std::size_t max_queued() const { return max_queued_; }
+  /// Exact once the pool is idle (after wait_idle() or shutdown());
+  /// a snapshot of relaxed counters while tasks are still running.
   TaskPoolStats stats() const;
+
+  /// How long an idle worker spins for new work before parking.
+  static constexpr std::chrono::microseconds kIdleSpin{50};
 
  private:
   using StatePtr = std::shared_ptr<Handle::State>;
+  /// A queued task: submit() tasks live in their Handle state (so a
+  /// waiting caller can claim them); post() tasks carry `fn` directly.
+  struct Item {
+    Task fn;
+    StatePtr state;
+  };
 
+  void enqueue(std::int64_t priority, Item item);
   void worker_loop();
   /// Claim and run `state` unless another thread already has. Returns
   /// whether this thread ran it. `inline_run` tags the stats bucket.
   bool try_execute(const StatePtr& state, bool inline_run);
   void finish_one(bool inline_run);
+  void release_in_flight();
 
-  /// Internally synchronized (its own lock nests inside mutex_ only in
-  /// submit(); workers release it before taking mutex_, so no inversion).
-  SyncPriorityQueue<StatePtr, std::int64_t> queue_;
+  /// Internally synchronized; its lock nests inside mutex_ only in a
+  /// bounded pool's enqueue(), and workers never hold it while taking
+  /// mutex_, so there is no inversion.
+  SyncPriorityQueue<Item, std::int64_t> queue_;
   std::vector<std::thread> threads_;
 
   mutable common::Mutex mutex_{"task_pool"};
   mutable common::CondVar idle_cv_;
   common::CondVar space_cv_;
   std::size_t max_queued_ = 0;  // immutable after construction
-  /// Submitted, not yet popped by a worker.
+  /// Submitted, not yet popped by a worker. Tracked only for the queue
+  /// bound (max_queued_ > 0).
   std::size_t queued_ GUARDED_BY(mutex_) = 0;
-  /// Submitted, not yet finished.
-  std::uint64_t in_flight_ GUARDED_BY(mutex_) = 0;
-  TaskPoolStats stats_ GUARDED_BY(mutex_);
+  /// Submitted, not yet finished. Lock-free on the hot path; the
+  /// decrement that reaches zero notifies idle_cv_ under mutex_, so
+  /// wait_idle() cannot miss it.
+  std::atomic<std::uint64_t> in_flight_{0};
+  std::atomic<std::uint64_t> tasks_executed_{0};
+  std::atomic<std::uint64_t> tasks_inlined_{0};
+  std::atomic<std::uint64_t> peak_in_flight_{0};
   bool shut_down_ GUARDED_BY(mutex_) = false;
 };
 

@@ -319,6 +319,8 @@ std::string ScenarioReport::summary() const {
             static_cast<unsigned long long>(row.commit_hold_us),
             static_cast<unsigned long long>(row.max_commit_wait_us));
       }
+      out += "  (cross commits are combined: wait = enqueue to batch apply, "
+             "hold charged once per batch)\n";
     }
   }
   out += strformat("scoreboard-digest=%016llx\n",

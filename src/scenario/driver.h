@@ -81,7 +81,9 @@ struct ScenarioReport {
   std::int32_t shards = 1;
   /// Engine backend, shards > 1 only: commit-lock contention per strip.
   /// The `shard = -1` row is the cross-shard (boundary-reconciliation)
-  /// path — the residue of the old global commit lock.
+  /// path — the residue of the old global commit lock. Its commits are
+  /// combined: wait-us runs from enqueue until the combiner applied the
+  /// batch, and hold-us is charged once per batch (runtime::EngineStats).
   struct ShardContention {
     std::int32_t shard = 0;
     std::uint64_t commits = 0;

@@ -78,6 +78,9 @@ void SimulationTrace::validate() const {
     AIM_CHECK_MSG(graph_adjacency.empty(),
                   "grid trace carries a graph adjacency");
   }
+  // 64-bit: a corrupt start_step near the int32 limit must fail a check,
+  // not overflow.
+  const std::int64_t window_end = static_cast<std::int64_t>(start_step) + n_steps;
   // A one-hop move is legal only when the speed budget allows a full hop.
   const bool hops_allowed = max_vel >= 1.0 - 1e-9;
   auto adjacent = [&](std::int32_t a, std::int32_t b) {
@@ -90,7 +93,8 @@ void SimulationTrace::validate() const {
                   "agent ids must be dense and ordered");
     AIM_CHECK_MSG(a.positions.size() == static_cast<std::size_t>(n_steps) + 1,
                   "agent " << i << " has " << a.positions.size()
-                           << " positions, expected " << n_steps + 1);
+                           << " positions, expected "
+                           << static_cast<std::int64_t>(n_steps) + 1);
     for (const Tile& t : a.positions) {
       AIM_CHECK_MSG(t.x >= 0 && t.x < map_width && t.y >= 0 && t.y < map_height,
                     "agent " << i << " position out of bounds");
@@ -118,7 +122,7 @@ void SimulationTrace::validate() const {
     for (std::size_t c = 0; c < a.calls.size(); ++c) {
       const LlmCall& call = a.calls[c];
       AIM_CHECK(call.agent == a.agent);
-      AIM_CHECK_MSG(call.step >= start_step && call.step < start_step + n_steps,
+      AIM_CHECK_MSG(call.step >= start_step && call.step < window_end,
                     "call step " << call.step << " outside window");
       AIM_CHECK(call.input_tokens > 0 && call.output_tokens > 0);
       if (c > 0) {
@@ -133,7 +137,7 @@ void SimulationTrace::validate() const {
     const Interaction& in = interactions[i];
     AIM_CHECK(in.a >= 0 && in.a < n_agents && in.b >= 0 && in.b < n_agents);
     AIM_CHECK(in.a != in.b);
-    AIM_CHECK(in.step >= start_step && in.step < start_step + n_steps);
+    AIM_CHECK(in.step >= start_step && in.step < window_end);
   }
 }
 

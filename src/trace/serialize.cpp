@@ -1,5 +1,6 @@
 #include "trace/serialize.h"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <ostream>
@@ -31,6 +32,63 @@ T read_pod(std::istream& is) {
   is.read(reinterpret_cast<char*>(&v), sizeof(T));
   AIM_CHECK_MSG(is.good(), "truncated trace stream");
   return v;
+}
+
+/// Encoded sizes of the repeated records (lower bounds where a record
+/// nests further counts).
+constexpr std::uint64_t kTileBytes = 8;
+constexpr std::uint64_t kCallBytes = 4 + 4 + 1 + 4 + 4 + 8 + 4;
+constexpr std::uint64_t kInteractionBytes = 12;
+constexpr std::uint64_t kNeighborBytes = 4;
+constexpr std::uint64_t kNodeBytes = 8;              // its neighbor count
+constexpr std::uint64_t kAgentBytes = 4 + 8 + 8;     // id + two counts
+/// Reserve at most this many elements ahead of reading them, so even a
+/// stream whose length is unknown cannot make a bogus count allocate
+/// more than the data actually read.
+constexpr std::uint64_t kMaxReserve = 1 << 16;
+
+/// Reads a trace stream, bounding every element count by the bytes the
+/// stream still holds before anything is sized from it.
+class Reader {
+ public:
+  explicit Reader(std::istream& is) : is_(is) {
+    const std::streampos here = is_.tellg();
+    if (here >= 0 && is_.seekg(0, std::ios::end)) {
+      const std::streampos end = is_.tellg();
+      if (end >= here) end_ = end;
+    }
+    is_.clear();
+    if (here >= 0) is_.seekg(here);
+  }
+
+  template <typename T>
+  T pod() {
+    return read_pod<T>(is_);
+  }
+
+  /// A count of records of at least `record_bytes` each. Fails with a
+  /// one-line error when the rest of the stream cannot hold them.
+  std::uint64_t count(std::uint64_t record_bytes, const char* what) {
+    const auto n = pod<std::uint64_t>();
+    if (end_ >= 0) {
+      const auto left = static_cast<std::uint64_t>(
+          end_ - static_cast<std::streamoff>(is_.tellg()));
+      AIM_CHECK_MSG(n <= left / record_bytes,
+                    "corrupt trace stream: " << n << " " << what
+                                             << " cannot fit in the "
+                                             << left << " bytes left");
+    }
+    return n;
+  }
+
+ private:
+  std::istream& is_;
+  std::streamoff end_ = -1;  // stream length, -1 when unknown
+};
+
+template <typename T>
+void reserve_bounded(std::vector<T>& v, std::uint64_t n) {
+  v.reserve(static_cast<std::size_t>(std::min(n, kMaxReserve)));
 }
 
 }  // namespace
@@ -83,72 +141,85 @@ void save_binary(const SimulationTrace& trace, std::ostream& os) {
 }
 
 SimulationTrace load_binary(std::istream& is) {
+  Reader in(is);
   char magic[4];
   is.read(magic, sizeof(magic));
   AIM_CHECK_MSG(is.good() && std::memcmp(magic, kMagic, 4) == 0,
                 "not an AIMT trace stream");
-  const auto version = read_pod<std::uint32_t>(is);
+  const auto version = in.pod<std::uint32_t>();
   AIM_CHECK_MSG(version == kGridVersion || version == kGraphVersion,
                 "unsupported trace version " << version);
   SimulationTrace trace;
   if (version == kGraphVersion) {
-    trace.world_kind = static_cast<WorldKind>(read_pod<std::uint8_t>(is));
-    const auto n_nodes = read_pod<std::uint64_t>(is);
+    const auto kind = in.pod<std::uint8_t>();
+    AIM_CHECK_MSG(kind <= static_cast<std::uint8_t>(WorldKind::kGraph),
+                  "corrupt trace stream: unknown world kind "
+                      << static_cast<int>(kind));
+    trace.world_kind = static_cast<WorldKind>(kind);
+    const auto n_nodes = in.count(kNodeBytes, "graph nodes");
     AIM_CHECK(n_nodes > 0 && n_nodes < 10'000'000);
-    trace.graph_adjacency.resize(n_nodes);
-    for (auto& neighbors : trace.graph_adjacency) {
-      const auto n_neighbors = read_pod<std::uint64_t>(is);
+    reserve_bounded(trace.graph_adjacency, n_nodes);
+    for (std::uint64_t v = 0; v < n_nodes; ++v) {
+      const auto n_neighbors = in.count(kNeighborBytes, "neighbors");
       AIM_CHECK(n_neighbors < n_nodes);
-      neighbors.reserve(n_neighbors);
+      std::vector<std::int32_t>& neighbors = trace.graph_adjacency.emplace_back();
+      reserve_bounded(neighbors, n_neighbors);
       for (std::uint64_t i = 0; i < n_neighbors; ++i) {
-        neighbors.push_back(read_pod<std::int32_t>(is));
+        neighbors.push_back(in.pod<std::int32_t>());
       }
     }
   }
-  trace.n_agents = read_pod<std::int32_t>(is);
-  trace.n_steps = read_pod<Step>(is);
-  trace.start_step = read_pod<Step>(is);
-  trace.seconds_per_step = read_pod<double>(is);
-  trace.radius_p = read_pod<double>(is);
-  trace.max_vel = read_pod<double>(is);
-  trace.map_width = read_pod<std::int32_t>(is);
-  trace.map_height = read_pod<std::int32_t>(is);
+  trace.n_agents = in.pod<std::int32_t>();
+  trace.n_steps = in.pod<Step>();
+  trace.start_step = in.pod<Step>();
+  trace.seconds_per_step = in.pod<double>();
+  trace.radius_p = in.pod<double>();
+  trace.max_vel = in.pod<double>();
+  trace.map_width = in.pod<std::int32_t>();
+  trace.map_height = in.pod<std::int32_t>();
   AIM_CHECK(trace.n_agents >= 0 && trace.n_agents < 1'000'000);
-  trace.agents.resize(static_cast<std::size_t>(trace.n_agents));
-  for (AgentTrace& a : trace.agents) {
-    a.agent = read_pod<AgentId>(is);
-    const auto n_pos = read_pod<std::uint64_t>(is);
+  AIM_CHECK_MSG(trace.n_steps >= 0,
+                "corrupt trace stream: n_steps " << trace.n_steps);
+  reserve_bounded(trace.agents, static_cast<std::uint64_t>(trace.n_agents));
+  for (std::int32_t agent = 0; agent < trace.n_agents; ++agent) {
+    AgentTrace& a = trace.agents.emplace_back();
+    a.agent = in.pod<AgentId>();
+    const auto n_pos = in.count(kTileBytes, "positions");
     AIM_CHECK(n_pos == static_cast<std::uint64_t>(trace.n_steps) + 1);
-    a.positions.reserve(n_pos);
+    reserve_bounded(a.positions, n_pos);
     for (std::uint64_t i = 0; i < n_pos; ++i) {
       Tile t;
-      t.x = read_pod<std::int32_t>(is);
-      t.y = read_pod<std::int32_t>(is);
+      t.x = in.pod<std::int32_t>();
+      t.y = in.pod<std::int32_t>();
       a.positions.push_back(t);
     }
-    const auto n_calls = read_pod<std::uint64_t>(is);
-    a.calls.reserve(n_calls);
+    const auto n_calls = in.count(kCallBytes, "calls");
+    reserve_bounded(a.calls, n_calls);
     for (std::uint64_t i = 0; i < n_calls; ++i) {
       LlmCall c;
       c.agent = a.agent;
-      c.step = read_pod<Step>(is);
-      c.seq = read_pod<std::int32_t>(is);
-      c.type = static_cast<CallType>(read_pod<std::uint8_t>(is));
-      c.input_tokens = read_pod<std::int32_t>(is);
-      c.output_tokens = read_pod<std::int32_t>(is);
-      c.prompt_hash = read_pod<std::uint64_t>(is);
-      c.conversation_id = read_pod<std::int32_t>(is);
+      c.step = in.pod<Step>();
+      c.seq = in.pod<std::int32_t>();
+      const auto type = in.pod<std::uint8_t>();
+      AIM_CHECK_MSG(type <= static_cast<std::uint8_t>(CallType::kScheduleDecomp),
+                    "corrupt trace stream: unknown call type "
+                        << static_cast<int>(type));
+      c.type = static_cast<CallType>(type);
+      c.input_tokens = in.pod<std::int32_t>();
+      c.output_tokens = in.pod<std::int32_t>();
+      c.prompt_hash = in.pod<std::uint64_t>();
+      c.conversation_id = in.pod<std::int32_t>();
       a.calls.push_back(c);
     }
   }
-  const auto n_inter = read_pod<std::uint64_t>(is);
-  trace.interactions.reserve(n_inter);
+  const auto n_inter = in.count(kInteractionBytes, "interactions");
+  reserve_bounded(trace.interactions, n_inter);
   for (std::uint64_t i = 0; i < n_inter; ++i) {
-    Interaction in;
-    in.step = read_pod<Step>(is);
-    in.a = read_pod<AgentId>(is);
-    in.b = read_pod<AgentId>(is);
-    trace.interactions.push_back(in);
+    Interaction inter;
+    inter.step = in.pod<Step>();
+    inter.a = in.pod<AgentId>();
+    inter.b = in.pod<AgentId>();
+    trace.interactions.push_back(inter);
   }
   trace.validate();
   return trace;

@@ -3,6 +3,8 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <limits>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -286,6 +288,30 @@ TEST(SyncPriorityQueue, CloseWakesManyConsumersBlockedInPop) {
   q.close();
   for (auto& t : consumers) t.join();
   EXPECT_EQ(woke_empty.load(), 4);
+}
+
+TEST(SyncPriorityQueue, SpinningPopTakesAPushAndCloseReleasesIt) {
+  // pop(spin): a consumer spinning on an empty queue is handed the next
+  // push, and close() releases a spinner without it waiting out its
+  // (here deliberately huge) spin budget.
+  SyncPriorityQueue<int, int> q;
+  std::optional<int> got;
+  std::thread consumer([&] { got = q.pop(std::chrono::seconds(5)); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  q.push(0, 7);
+  consumer.join();
+  EXPECT_EQ(got, 7);
+  EXPECT_EQ(q.front_priority_hint(), std::numeric_limits<int>::max());
+
+  const auto start = std::chrono::steady_clock::now();
+  std::optional<int> after_close = 1;
+  std::thread spinner([&] { after_close = q.pop(std::chrono::hours(1)); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  q.close();
+  spinner.join();
+  EXPECT_FALSE(after_close.has_value());
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::minutes(1));
+  EXPECT_FALSE(q.push(0, 9));
 }
 
 TEST(SyncQueue, FifoAndClose) {

@@ -537,6 +537,125 @@ TEST(Runtime, ScanModesProduceIdenticalGymWorlds) {
   EXPECT_EQ(hashes[0], hashes[1]);
 }
 
+/// A StepFn that keeps every member in place: a µs-scale cluster, so the
+/// engine's own dispatch/commit path is all a run measures.
+std::vector<world::StepIntent> stay_put(const core::AgentCluster& cluster,
+                                        const world::WorldState&) {
+  std::vector<world::StepIntent> intents;
+  for (AgentId m : cluster.members) {
+    world::StepIntent intent;
+    intent.agent = m;
+    intents.push_back(intent);
+  }
+  return intents;
+}
+
+/// Up to 32 agents 10 tiles apart on an 80x40 map: far enough that
+/// stationary agents never couple, so each cluster is one agent.
+std::vector<Tile> lattice_starts(int n) {
+  std::vector<Tile> starts;
+  for (int i = 0; i < n; ++i) {
+    starts.push_back(Tile{1 + (i % 8) * 10, 1 + (i / 8) * 10});
+  }
+  return starts;
+}
+
+TEST(Runtime, CombinedCommitsMatchTheOneWorkerWorld) {
+  // shards = 1 sends every commit through the cross-shard combiner. With
+  // 8 workers and a zero-latency StepFn, clusters are µs-scale, so
+  // commits pile up in the combiner's queue and are applied in batches:
+  // the world must still match the 1-worker run bit for bit, and every
+  // agent-step must count once.
+  world::GridMap map(80, 40);
+  std::uint64_t hashes[2];
+  int idx = 0;
+  for (const std::int32_t workers : {1, 8}) {
+    std::vector<std::unique_ptr<Agent>> agents = wanderers(32, 77);
+    world::WorldState world(&map, lattice_starts(32));
+    llm::FakeLlmClient llm(77, /*latency_us=*/0);
+    runtime::EngineConfig cfg;
+    cfg.params = core::DependencyParams{4.0, 1.0};
+    cfg.target_step = 80;
+    cfg.n_workers = workers;
+    cfg.shards = 1;
+    auto step_fn = [&](const core::AgentCluster& cluster,
+                       const world::WorldState& w) {
+      std::vector<world::StepIntent> intents;
+      for (AgentId m : cluster.members) {
+        Observation obs;
+        obs.self = m;
+        obs.step = cluster.step;
+        {
+          aimetro::common::ReaderLock lock(w.mutex());
+          obs.position = w.tile_of(m);
+        }
+        obs.map = &map;
+        world::StepIntent intent =
+            agents[static_cast<std::size_t>(m)]->proceed(obs, llm);
+        intent.agent = m;
+        intents.push_back(intent);
+      }
+      return intents;
+    };
+    runtime::Engine engine(&world, cfg, step_fn);
+    const auto stats = engine.run();
+    EXPECT_EQ(stats.agent_steps, 32u * 80u);
+    EXPECT_EQ(stats.commits, stats.clusters_executed);
+    EXPECT_GE(stats.max_commit_wait_us, stats.commit_wait_us / stats.commits);
+    EXPECT_TRUE(engine.scoreboard().all_done());
+    engine.scoreboard().check_invariants();
+    aimetro::common::ReaderLock lock(world.mutex());
+    hashes[idx++] = world.state_hash();
+  }
+  EXPECT_EQ(hashes[0], hashes[1])
+      << "combined commits diverged from the 1-worker world";
+}
+
+TEST(Runtime, StepFnThrowWhileCommitsWaitForTheCombinerRethrows) {
+  // Many tiny clusters on 8 workers keep the combiner's queue non-empty;
+  // a StepFn that throws mid-run must surface from run(), and every
+  // queued commit must still be retired so ~Engine returns. Several
+  // throw points vary what is queued at the moment of failure.
+  world::GridMap map(80, 40);
+  for (int attempt = 0; attempt < 12; ++attempt) {
+    world::WorldState world(&map, lattice_starts(32));
+    runtime::EngineConfig cfg;
+    cfg.params = core::DependencyParams{4.0, 1.0};
+    cfg.target_step = 60;
+    cfg.n_workers = 8;
+    cfg.shards = 1;
+    const int throw_at = 40 + attempt * 97;
+    std::atomic<int> calls{0};
+    runtime::Engine engine(
+        &world, cfg,
+        [&](const core::AgentCluster& cluster, const world::WorldState& w) {
+          if (calls.fetch_add(1) == throw_at) {
+            throw std::runtime_error("agent exploded");
+          }
+          return stay_put(cluster, w);
+        });
+    EXPECT_THROW(engine.run(), std::runtime_error);
+  }
+}
+
+TEST(Runtime, RepeatedShortRunsTearDownCleanly) {
+  // The controller is woken only by the decrement that drains the run.
+  // Were that decrement made outside engine.control, ~Engine could
+  // destroy the condition variable under a worker still notifying it;
+  // many construct/run/destroy cycles give the sanitizers that window.
+  const auto map = arena_map();
+  for (int cycle = 0; cycle < 200; ++cycle) {
+    world::WorldState world(&map, spread_starts(6));
+    runtime::EngineConfig cfg;
+    cfg.params = core::DependencyParams{4.0, 1.0};
+    cfg.target_step = 5;
+    cfg.n_workers = 4;
+    runtime::Engine engine(&world, cfg, stay_put);
+    const auto stats = engine.run();
+    ASSERT_EQ(stats.agent_steps, 6u * 5u) << "cycle " << cycle;
+  }
+}
+
 TEST(Runtime, ScalesToManyAgentsQuickly) {
   world::GridMap map(60, 60);
   std::vector<Tile> starts;

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -196,6 +197,68 @@ TEST(TaskPool, ManyProducersManyTasks) {
   for (auto& t : producers) t.join();
   pool.wait_idle();
   EXPECT_EQ(ran.load(), 1000);
+}
+
+TEST(TaskPool, PostRunsInPriorityOrderAndCountsInStats) {
+  // Fire-and-forget posts follow the same backlog order as submit(), and
+  // stats() still counts them: one worker held by a gate task while the
+  // backlog builds, then every post runs in ascending priority.
+  TaskPool pool(1);
+  std::promise<void> gate;
+  std::shared_future<void> open = gate.get_future().share();
+  pool.post(0, [open] { open.wait(); });
+  std::mutex order_mutex;
+  std::vector<int> order;
+  for (int priority : {5, 1, 3, 1}) {
+    pool.post(priority, [&order_mutex, &order, priority] {
+      std::lock_guard<std::mutex> lock(order_mutex);
+      order.push_back(priority);
+    });
+  }
+  gate.set_value();
+  pool.wait_idle();
+  EXPECT_EQ(order, (std::vector<int>{1, 1, 3, 5}));
+  const auto stats = pool.stats();
+  EXPECT_EQ(stats.tasks_executed, 5u);
+  EXPECT_EQ(stats.tasks_inlined, 0u);
+  EXPECT_EQ(stats.peak_in_flight, 5u);
+}
+
+TEST(TaskPool, ShutdownRacingASpinningWorkerDrainsEveryPost) {
+  // An idle worker spins (kIdleSpin) before parking. Posts that land
+  // while it spins, and a shutdown() racing it, must still leave every
+  // posted task run exactly once; a post after shutdown is refused.
+  for (int round = 0; round < 100; ++round) {
+    std::atomic<int> ran{0};
+    TaskPool pool(2);
+    for (int i = 0; i < 20; ++i) {
+      pool.post(i, [&ran] { ran.fetch_add(1); });
+      if (i % 5 == 4) {
+        std::this_thread::sleep_for(std::chrono::microseconds(round % 7 * 10));
+      }
+    }
+    pool.shutdown();
+    EXPECT_EQ(ran.load(), 20) << "round " << round;
+    EXPECT_EQ(pool.stats().tasks_executed, 20u);
+    EXPECT_THROW(pool.post(0, [] {}), CheckError);
+  }
+}
+
+TEST(TaskPool, FrontPriorityHintTracksTheBacklog) {
+  TaskPool pool(1);
+  EXPECT_EQ(pool.front_priority_hint(),
+            std::numeric_limits<std::int64_t>::max());
+  std::promise<void> gate;
+  std::shared_future<void> open = gate.get_future().share();
+  pool.post(0, [open] { open.wait(); });
+  pool.post(7, [] {});
+  pool.post(4, [] {});
+  // The gate may or may not have been popped yet; 4 is queued either way.
+  EXPECT_LE(pool.front_priority_hint(), 4);
+  gate.set_value();
+  pool.wait_idle();
+  EXPECT_EQ(pool.front_priority_hint(),
+            std::numeric_limits<std::int64_t>::max());
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <string>
 #include <sstream>
 
 #include "common/check.h"
@@ -171,6 +173,133 @@ TEST(Serialize, RejectsGarbage) {
   std::stringstream ss;
   ss << "definitely not a trace";
   EXPECT_THROW(load_binary(ss), CheckError);
+}
+
+/// A hand-built two-agent trace small enough to corrupt at every byte.
+SimulationTrace tiny_trace(WorldKind kind) {
+  SimulationTrace t;
+  t.world_kind = kind;
+  t.n_agents = 2;
+  t.n_steps = 3;
+  t.start_step = 10;
+  t.seconds_per_step = 10.0;
+  t.radius_p = 4.0;
+  t.max_vel = 1.0;
+  const bool graph = kind == WorldKind::kGraph;
+  t.map_width = graph ? 3 : 8;
+  t.map_height = graph ? 1 : 8;
+  if (graph) t.graph_adjacency = {{1}, {0, 2}, {1}};
+  AgentTrace a0;
+  a0.agent = 0;
+  a0.positions = graph ? std::vector<Tile>{{0, 0}, {1, 0}, {1, 0}, {2, 0}}
+                       : std::vector<Tile>{{1, 1}, {1, 2}, {2, 2}, {2, 3}};
+  a0.calls = {LlmCall{0, 10, 0, CallType::kPlan, 120, 30, 0xabcu, -1},
+              LlmCall{0, 11, 0, CallType::kConverse, 80, 20, 0xdefu, 3}};
+  AgentTrace a1;
+  a1.agent = 1;
+  a1.positions = std::vector<Tile>(4, graph ? Tile{1, 0} : Tile{3, 3});
+  a1.calls = {LlmCall{1, 11, 0, CallType::kConverse, 90, 25, 0x123u, 3}};
+  t.agents = {a0, a1};
+  t.interactions = {Interaction{11, 0, 1}};
+  t.validate();
+  return t;
+}
+
+std::string serialized(const SimulationTrace& trace) {
+  std::stringstream ss;
+  save_binary(trace, ss);
+  return ss.str();
+}
+
+/// Loads `bytes`; returns "" on success or CheckError, else a description
+/// of whatever else escaped the reader.
+std::string load_outcome(const std::string& bytes, bool* loaded = nullptr) {
+  std::stringstream ss(bytes);
+  if (loaded != nullptr) *loaded = false;
+  try {
+    load_binary(ss);
+    if (loaded != nullptr) *loaded = true;
+  } catch (const CheckError&) {
+  } catch (const std::exception& e) {
+    return std::string("non-CheckError exception: ") + e.what();
+  }
+  return "";
+}
+
+template <typename T>
+std::string with_pod_at(std::string bytes, std::size_t offset, T value) {
+  std::memcpy(bytes.data() + offset, &value, sizeof(T));
+  return bytes;
+}
+
+TEST(Serialize, EveryTruncationFailsWithACheckError) {
+  for (const WorldKind kind : {WorldKind::kGrid, WorldKind::kGraph}) {
+    const std::string bytes = serialized(tiny_trace(kind));
+    bool loaded = false;
+    ASSERT_EQ(load_outcome(bytes, &loaded), "");
+    ASSERT_TRUE(loaded);
+    for (std::size_t n = 0; n < bytes.size(); ++n) {
+      EXPECT_EQ(load_outcome(bytes.substr(0, n), &loaded), "")
+          << "truncated at " << n;
+      EXPECT_FALSE(loaded) << "a " << n << "-byte prefix loaded";
+    }
+  }
+}
+
+TEST(Serialize, OverwrittenWordsLoadOrFailWithACheckError) {
+  // Plant extreme words at every offset — huge and negative counts,
+  // out-of-range enum bytes, nonsense coordinates. The reader may accept
+  // a mutation that is still a valid trace (a prompt hash, say), but
+  // anything else must be a one-line CheckError: never bad_alloc,
+  // length_error, or a sanitizer finding.
+  const std::uint64_t words[] = {~0ull, 0x7fffffffffffffffull,
+                                 0x8000000000000000ull, 1ull << 40,
+                                 0x00000000ffffffffull};
+  for (const WorldKind kind : {WorldKind::kGrid, WorldKind::kGraph}) {
+    const std::string bytes = serialized(tiny_trace(kind));
+    for (std::size_t off = 0; off < bytes.size(); ++off) {
+      for (const std::uint64_t word : words) {
+        std::string mutated = bytes;
+        std::memcpy(mutated.data() + off, &word,
+                    std::min<std::size_t>(8, bytes.size() - off));
+        EXPECT_EQ(load_outcome(mutated), "")
+            << "word " << word << " at offset " << off;
+      }
+    }
+  }
+}
+
+TEST(Serialize, HugeCountsAndBadEnumBytesAreRejected) {
+  // Grid layout: magic(4) version(4) header(40), then agent 0: id(4)
+  // n_positions(8) positions(4 x 8) n_calls(8) calls(2 x 33), then
+  // agent 1 likewise with one call, then n_interactions(8).
+  const std::string grid = serialized(tiny_trace(WorldKind::kGrid));
+  const std::size_t n_steps = 12;
+  const std::size_t n_pos = 56;
+  const std::size_t n_calls = n_pos + 8 + 4 * 8;
+  const std::size_t call_type = n_calls + 8 + 8;
+  const std::size_t n_inter = grid.size() - 8 - 12;
+  auto rejects = [](const std::string& bytes) {
+    bool loaded = true;
+    const std::string outcome = load_outcome(bytes, &loaded);
+    return outcome.empty() && !loaded;
+  };
+  for (const std::uint64_t huge : {1ull << 40, ~0ull, 1ull << 62}) {
+    EXPECT_TRUE(rejects(with_pod_at(grid, n_pos, huge)));
+    EXPECT_TRUE(rejects(with_pod_at(grid, n_calls, huge)));
+    EXPECT_TRUE(rejects(with_pod_at(grid, n_inter, huge)));
+  }
+  EXPECT_TRUE(rejects(with_pod_at(grid, n_steps, std::int32_t{-1})))
+      << "negative n_steps";
+  EXPECT_TRUE(rejects(with_pod_at(grid, call_type, std::uint8_t{8})));
+  EXPECT_TRUE(rejects(with_pod_at(grid, call_type, std::uint8_t{0xff})));
+
+  // Graph layout: magic(4) version(4) kind(1) n_nodes(8), then node 0's
+  // n_neighbors(8).
+  const std::string graph = serialized(tiny_trace(WorldKind::kGraph));
+  EXPECT_TRUE(rejects(with_pod_at(graph, 8, std::uint8_t{2})));
+  EXPECT_TRUE(rejects(with_pod_at(graph, 9, std::uint64_t{1} << 40)));
+  EXPECT_TRUE(rejects(with_pod_at(graph, 17, std::uint64_t{1} << 40)));
 }
 
 TEST(Serialize, JsonlExportHasHeaderAndEvents) {
